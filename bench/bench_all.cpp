@@ -154,6 +154,7 @@ int main(int argc, char** argv) {
       m.kind = warm[i].kind;
       const runner::SpiceCounterScope spice_scope(m);
       const runner::FlowCounterScope flow_scope(m);
+      const runner::RouteCounterScope route_scope(m);
       const runner::ArtifactCounterScope artifact_scope(m);
       util::Stopwatch sw;
       if (warm[i].spec) {
@@ -187,6 +188,7 @@ int main(int argc, char** argv) {
       // counters via bench::collected_sweep_metrics() below.
       const runner::SpiceCounterScope spice_scope(m);
       const runner::FlowCounterScope flow_scope(m);
+      const runner::RouteCounterScope route_scope(m);
       const runner::ArtifactCounterScope artifact_scope(m);
       code = experiments[i].fn();
     }

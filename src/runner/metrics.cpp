@@ -86,6 +86,12 @@ std::string RunReport::to_json() const {
            ", \"thermal_adjoint_solves\": " + std::to_string(t.thermal_adjoint_solves) +
            ", \"replace_moves\": " + std::to_string(t.replace_moves) +
            ", \"guardband_nonconverged\": " + std::to_string(t.guardband_nonconverged) +
+           ", \"route_iterations\": " + std::to_string(t.route_iterations) +
+           ", \"route_overused_nodes\": " + std::to_string(t.route_overused_nodes) +
+           ", \"route_searches\": " + std::to_string(t.route_searches) +
+           ", \"route_heap_pushes\": " + std::to_string(t.route_heap_pushes) +
+           ", \"route_heap_pops\": " + std::to_string(t.route_heap_pops) +
+           ", \"route_relaxations\": " + std::to_string(t.route_relaxations) +
            ", \"disk_hits\": " + std::to_string(t.disk_hits) +
            ", \"disk_misses\": " + std::to_string(t.disk_misses) +
            ", \"disk_writes\": " + std::to_string(t.disk_writes) +
@@ -109,7 +115,8 @@ std::string RunReport::to_csv() const {
     out += core::flow_phase_name(static_cast<core::FlowPhase>(p));
     out += "_s";
   }
-  out += '\n';
+  out += ",route_iterations,route_overused_nodes,route_searches,route_heap_pushes,"
+         "route_heap_pops,route_relaxations\n";
   for (const auto& [name, value] : scalars) {
     out += "scalar," + name + ',' + fmt(value) + '\n';
   }
@@ -133,6 +140,11 @@ std::string RunReport::to_csv() const {
     for (double s : t.phases.seconds) {
       out += ',';
       out += fmt(s);
+    }
+    for (std::uint64_t v : {t.route_iterations, t.route_overused_nodes, t.route_searches,
+                            t.route_heap_pushes, t.route_heap_pops, t.route_relaxations}) {
+      out += ',';
+      out += std::to_string(v);
     }
     out += '\n';
   }

@@ -67,6 +67,15 @@ struct TaskMetrics {
   std::uint64_t thermal_adjoint_solves = 0;
   std::uint64_t replace_moves = 0;
   std::uint64_t guardband_nonconverged = 0;
+  /// PathFinder work (route::thread_counters()): iterations and overused
+  /// nodes summed over the route() calls of this task, A* searches, heap
+  /// pushes and pops (stale entries included) and fanout edges examined.
+  std::uint64_t route_iterations = 0;
+  std::uint64_t route_overused_nodes = 0;
+  std::uint64_t route_searches = 0;
+  std::uint64_t route_heap_pushes = 0;
+  std::uint64_t route_heap_pops = 0;
+  std::uint64_t route_relaxations = 0;
   /// Disk artifact-store traffic attributable to this task (per stage:
   /// one implement build probes up to four storable stages). All zero
   /// when no store is attached.
@@ -120,6 +129,29 @@ class FlowCounterScope {
  private:
   TaskMetrics& m_;
   core::FlowCounters before_;
+};
+
+/// RAII capture of the thread-local router counters, same snapshot/delta
+/// contract as SpiceCounterScope.
+class RouteCounterScope {
+ public:
+  explicit RouteCounterScope(TaskMetrics& m)
+      : m_(m), before_(route::thread_counters()) {}
+  ~RouteCounterScope() {
+    const route::RouteCounters d = route::thread_counters() - before_;
+    m_.route_iterations += d.iterations;
+    m_.route_overused_nodes += d.overused_nodes;
+    m_.route_searches += d.searches;
+    m_.route_heap_pushes += d.heap_pushes;
+    m_.route_heap_pops += d.heap_pops;
+    m_.route_relaxations += d.relaxations;
+  }
+  RouteCounterScope(const RouteCounterScope&) = delete;
+  RouteCounterScope& operator=(const RouteCounterScope&) = delete;
+
+ private:
+  TaskMetrics& m_;
+  route::RouteCounters before_;
 };
 
 /// RAII capture of the thread-local artifact-store counters, same

@@ -27,6 +27,7 @@ std::vector<SweepCellResult> Sweep::run(const std::vector<SweepPoint>& points) c
     const core::FlowObserver obs = observe_into(cell.metrics);
     const SpiceCounterScope spice_scope(cell.metrics);
     const FlowCounterScope flow_scope(cell.metrics);
+    const RouteCounterScope route_scope(cell.metrics);
     const ArtifactCounterScope artifact_scope(cell.metrics);
     util::Stopwatch wall;
 

@@ -264,6 +264,12 @@ TEST(Metrics, ReportSerializesJsonAndCsv) {
   m.thermal_adjoint_solves = 2;
   m.replace_moves = 4096;
   m.guardband_nonconverged = 1;
+  m.route_iterations = 5;
+  m.route_overused_nodes = 0;
+  m.route_searches = 700;
+  m.route_heap_pushes = 90000;
+  m.route_heap_pops = 15000;
+  m.route_relaxations = 320000;
   m.phases.add(core::FlowPhase::Thermal, 0.125);
   report.tasks.push_back(m);
 
@@ -283,6 +289,12 @@ TEST(Metrics, ReportSerializesJsonAndCsv) {
   EXPECT_NE(json.find("\"thermal_adjoint_solves\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"replace_moves\": 4096"), std::string::npos);
   EXPECT_NE(json.find("\"guardband_nonconverged\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"route_iterations\": 5"), std::string::npos);
+  EXPECT_NE(json.find("\"route_overused_nodes\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"route_searches\": 700"), std::string::npos);
+  EXPECT_NE(json.find("\"route_heap_pushes\": 90000"), std::string::npos);
+  EXPECT_NE(json.find("\"route_heap_pops\": 15000"), std::string::npos);
+  EXPECT_NE(json.find("\"route_relaxations\": 320000"), std::string::npos);
   EXPECT_NE(json.find("\"thermal\":0.125000"), std::string::npos);
   EXPECT_NE(json.find("\"scalars\": {\"throughput_qps\": 1234.500000, "
                       "\"latency_p99_ms\": 0.250000}"),
@@ -301,6 +313,10 @@ TEST(Metrics, ReportSerializesJsonAndCsv) {
   EXPECT_NE(csv.find("sha@D25/amb70,guardband,0.250000,3,120,118,120,450,9000,37,21,"
                      "64,512,2,4096,1,0,0,0"),
             std::string::npos);
+  EXPECT_NE(csv.find("thermal_s,route_iterations,route_overused_nodes,route_searches,"
+                     "route_heap_pushes,route_heap_pops,route_relaxations\n"),
+            std::string::npos);
+  EXPECT_NE(csv.find(",0.125000,5,0,700,90000,15000,320000\n"), std::string::npos);
   EXPECT_NE(csv.find("scalar,throughput_qps,1234.500000"), std::string::npos);
   EXPECT_NE(csv.find("scalar,latency_p99_ms,0.250000"), std::string::npos);
 }
@@ -321,6 +337,36 @@ TEST(Metrics, FlowCounterScopeCapturesGuardbandWork) {
   EXPECT_GT(m.thermal_cg_iters, 0u);
   EXPECT_GT(m.sta_edges_reevaluated, 0u);
   EXPECT_EQ(m.guardband_nonconverged, 0u);
+}
+
+TEST(Metrics, RouteCounterScopeCapturesRouterWork) {
+  runner::FlowCache cache;
+  const auto& impl = cache.implementation(spec_of("sha"), test_arch(), 1.0 / 16);
+  runner::TaskMetrics m;
+  route::RouteResult r;
+  {
+    const runner::RouteCounterScope scope(m);
+    r = route::route(impl.rr, impl.packed, impl.placement);
+  }
+  EXPECT_EQ(m.route_iterations, static_cast<std::uint64_t>(r.iterations));
+  EXPECT_EQ(m.route_overused_nodes, static_cast<std::uint64_t>(r.overused_nodes));
+  // Every search pushes its tree and pops at least the target; every
+  // expanded node examines its fanout.
+  EXPECT_GT(m.route_searches, 0u);
+  EXPECT_GE(m.route_heap_pushes, m.route_heap_pops);
+  EXPECT_GE(m.route_heap_pops, m.route_searches);
+  EXPECT_GT(m.route_relaxations, m.route_heap_pops);
+
+  // A second call on the same thread adds exactly the same work.
+  runner::TaskMetrics again;
+  {
+    const runner::RouteCounterScope scope(again);
+    route::route(impl.rr, impl.packed, impl.placement);
+  }
+  EXPECT_EQ(again.route_searches, m.route_searches);
+  EXPECT_EQ(again.route_heap_pushes, m.route_heap_pushes);
+  EXPECT_EQ(again.route_heap_pops, m.route_heap_pops);
+  EXPECT_EQ(again.route_relaxations, m.route_relaxations);
 }
 
 // ---------- cross-run / cross-thread-count determinism ----------
