@@ -269,6 +269,9 @@ void run_thermal_place(FlowBuild& b) {
 
     route::RouteResult rerouted =
         route::route(impl.rr, impl.packed, refined, b.opt.route);
+    // An illegal reroute (overused nodes or an unreachable sink) is never
+    // timed or accepted.
+    if (!rerouted.success) continue;
     const double fmax_refined =
         timing::TimingAnalyzer(impl.nl, impl.packed, refined, impl.rr, rerouted,
                                impl.grid)

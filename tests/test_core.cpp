@@ -298,6 +298,30 @@ TEST(Implement, ReportsRoutedDesign) {
   EXPECT_EQ(impl.nl.validate(), "");
 }
 
+TEST(Implement, ThermalPlaceNeverAcceptsAnIllegalReroute) {
+  // sha at W = 32 with two PathFinder rounds is left congested, and so are
+  // the reroutes of its refined candidates. A refined placement may only
+  // replace the blind one together with a legal route.
+  netlist::BenchmarkSpec spec;
+  for (const auto& s : netlist::vtr_suite()) {
+    if (s.name == "sha") spec = netlist::scaled(s, 1.0 / 16);
+  }
+  arch::ArchParams narrow = test_arch();
+  narrow.channel_tracks = 32;
+  core::ImplementOptions opt;
+  opt.route.max_iterations = 2;
+  const auto blind = core::implement(spec, narrow, opt);
+  ASSERT_FALSE(blind->routes.success);
+
+  const coffe::DeviceModel dev = characterizer().characterize(units::Celsius(25.0));
+  opt.thermal_place.enabled = true;
+  opt.thermal_place.device = &dev;
+  const auto aware = core::implement(spec, narrow, opt);
+  if (aware->placement.pos != blind->placement.pos) {
+    EXPECT_TRUE(aware->routes.success) << "a refined placement shipped with an illegal route";
+  }
+}
+
 void expect_bit_identical(const core::GuardbandResult& solo,
                           const core::GuardbandResult& batch) {
   EXPECT_EQ(solo.fmax_mhz.value(), batch.fmax_mhz.value());
