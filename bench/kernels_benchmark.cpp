@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the flow's computational kernels:
-// SPICE transient, Elmore evaluation, thermal solve, STA, and routing.
+// SPICE transient, Elmore evaluation, thermal solve, STA, RR-graph
+// construction and PathFinder routing.
 
 #include <benchmark/benchmark.h>
 
@@ -128,6 +129,43 @@ void BM_GuardbandFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GuardbandFlow)->Unit(benchmark::kMillisecond);
+
+/// LU8PEEng, the largest design that routes both at the suite's W = 96 and
+/// at the congested W = 64, implemented at channel width `tracks`.
+const core::Implementation& lu8_at(int tracks) {
+  arch::ArchParams a = bench::bench_arch();
+  a.channel_tracks = tracks;
+  return runner::FlowCache::global().implementation(bench::suite_spec("LU8PEEng"), a,
+                                                    bench::kSuiteScale);
+}
+
+void BM_RrGraphBuild(benchmark::State& state) {
+  const auto& impl = lu8_at(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const route::RrGraph rr(impl.grid, impl.arch);
+    benchmark::DoNotOptimize(rr.num_nodes());
+  }
+}
+BENCHMARK(BM_RrGraphBuild)->ArgName("W")->Arg(96)->Arg(64)->Unit(benchmark::kMillisecond);
+
+/// Full PathFinder on a fixed placement, with the router's work counters
+/// per call next to the time.
+void BM_Route(benchmark::State& state) {
+  const auto& impl = lu8_at(static_cast<int>(state.range(0)));
+  const route::RouteOptions opt = core::ImplementOptions{}.route;
+  const route::RouteCounters before = route::thread_counters();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(route::route(impl.rr, impl.packed, impl.placement, opt));
+  }
+  const route::RouteCounters d = route::thread_counters() - before;
+  const auto per_call = [&](std::uint64_t v) {
+    return benchmark::Counter(static_cast<double>(v), benchmark::Counter::kAvgIterations);
+  };
+  state.counters["iterations"] = per_call(d.iterations);
+  state.counters["heap_pushes"] = per_call(d.heap_pushes);
+  state.counters["relaxations"] = per_call(d.relaxations);
+}
+BENCHMARK(BM_Route)->ArgName("W")->Arg(96)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
